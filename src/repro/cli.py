@@ -83,6 +83,11 @@ trace-event file (load it in ``chrome://tracing`` or Perfetto).
 Errors in user input (SQL syntax, unknown tables/columns, missing data
 directories) terminate with exit code 2 and a one-line message on stderr --
 never a traceback.
+
+The serving commands (``serve``, ``server``, ``cluster start`` and the
+workers it spawns) run BLAS on one thread unless ``OPENBLAS_NUM_THREADS``
+or ``OMP_NUM_THREADS`` says otherwise; ``/healthz`` and ``stats`` report
+the count in effect.
 """
 
 from __future__ import annotations
@@ -110,6 +115,7 @@ from repro.service import (
     SERVICE_METHODS,
     AnnotationService,
     ServiceOptions,
+    pin_blas_threads,
 )
 
 #: Exit code when the data directory holds no tuples (kept at 1 for
@@ -505,6 +511,7 @@ def _run_serve(args: argparse.Namespace) -> int:
     """
     from repro.obs import Recorder
 
+    pin_blas_threads()
     service = _load_service(args)
     # A recorder makes the interactive ``\stats`` report include latency
     # quantiles-to-be and the slow-query ring at zero extra flags.
@@ -570,6 +577,7 @@ def _run_server(args: argparse.Namespace) -> int:
         raise ValueError(f"--max-pending must be at least 1, got {args.max_pending}")
     if args.workers < 1:
         raise ValueError(f"--workers must be at least 1, got {args.workers}")
+    pin_blas_threads()
     service = _load_service(args)
     port = DEFAULT_PORT if args.port is None else args.port
     if args.no_http:
@@ -618,6 +626,7 @@ def _run_cluster_start(args: argparse.Namespace) -> int:
                          "--worker-addr host:port")
     if args.workers > 0 and not args.data:
         raise ValueError("--data is required to spawn local workers")
+    pin_blas_threads()
     endpoints = []
     for index, value in enumerate(args.worker_addr):
         host, port = parse_worker_addr(value)

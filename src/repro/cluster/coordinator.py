@@ -88,6 +88,7 @@ from repro.server.protocol import (
     parse_query_request,
     request_key,
 )
+from repro.service.executor import blas_threads
 from repro.service.service import normalise_sql
 
 logger = get_logger("cluster")
@@ -827,6 +828,7 @@ class CoordinatorApp:
             "max_pending": self._max_pending,
             "uptime_seconds": time.monotonic() - self._started,
             "version": package_version(),
+            "blas_threads": blas_threads(),
         }
 
     def _coordinator_stats(self) -> dict:
@@ -884,6 +886,7 @@ class CoordinatorApp:
                     "launched": server.get("launched", 0),
                     "coalesced": server.get("coalesced", 0),
                     "mutations": server.get("mutations", 0),
+                    "blas_threads": payload.get("blas_threads"),
                 })
                 for key, value in server.items():
                     if isinstance(value, bool) or \
@@ -915,6 +918,7 @@ class CoordinatorApp:
             service_block["single_flight"] = {"name": "fleet", **flight_sum}
         return {
             "alerts": self.alerts_report()["alerts"],
+            "blas_threads": blas_threads(),
             "coordinator": self._coordinator_stats(),
             "workers": rows,
             "server": {**server_sum, "active": len(self._flights),

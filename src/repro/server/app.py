@@ -59,6 +59,7 @@ from repro.obs.trace import spans_to_chrome
 from repro.obs.tsdb import TimeSeriesStore
 from repro.relational.mutation import MutationError
 from repro.relational.schema import SchemaError
+from repro.service.executor import blas_threads
 from repro.server.protocol import (
     OverloadError,
     ProtocolError,
@@ -372,6 +373,7 @@ class ServerApp:
             "max_pending": self._max_pending,
             "uptime_seconds": time.monotonic() - self._started,
             "version": package_version(),
+            "blas_threads": blas_threads(),
         }
 
     def metrics_text(self) -> str:
@@ -480,10 +482,12 @@ class ServerApp:
         ]
 
     def stats(self) -> dict:
-        """The ``/stats`` payload: server counters, the service report, and
-        current SLO alert states."""
+        """The ``/stats`` payload: server counters, the service report,
+        current SLO alert states, and the process's BLAS thread count
+        (``None`` when unknown)."""
         return {
             "alerts": self.alerts_report()["alerts"],
+            "blas_threads": blas_threads(),
             "server": {
                 "requests": self._requests,
                 "launched": self._launched,

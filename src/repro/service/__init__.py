@@ -38,6 +38,8 @@ from repro.service.canonical import (
 from repro.service.executor import (
     EXECUTORS,
     available_cpus,
+    blas_threads,
+    pin_blas_threads,
     process_map,
     run_tasks,
     shutdown_pools,
@@ -57,7 +59,13 @@ from repro.service.planner import (
     PlannerStats,
 )
 from repro.service.rng import root_sequence, spawn_stream
-from repro.service.scheduler import TaskGroup, build_schedule, partition_batches
+from repro.service.scheduler import (
+    Plan,
+    TaskGroup,
+    build_plan,
+    build_schedule,
+    partition_batches,
+)
 from repro.service.service import (
     SERVICE_METHODS,
     AnnotationService,
@@ -87,6 +95,7 @@ __all__ = [
     "FusionAccounting",
     "FusionStats",
     "LruCache",
+    "Plan",
     "PlanDecision",
     "Planner",
     "PlannerStats",
@@ -101,6 +110,8 @@ __all__ = [
     "adaptive_certainty",
     "adaptive_schedule",
     "available_cpus",
+    "blas_threads",
+    "build_plan",
     "build_schedule",
     "canonicalise",
     "canonicalise_lineage",
@@ -108,6 +119,7 @@ __all__ = [
     "fusable_method",
     "intersect_intervals",
     "partition_batches",
+    "pin_blas_threads",
     "process_map",
     "root_sequence",
     "run_tasks",

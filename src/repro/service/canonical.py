@@ -22,12 +22,18 @@ miss, never a wrong answer).
 The canonical form also carries a SHA-256 digest of a deterministic
 serialisation.  The digest is stable across processes (Python's salted
 ``hash()`` is never used) and doubles as the spawn key of the per-task RNG
-streams -- see :mod:`repro.service.rng`.
+streams -- see :mod:`repro.service.rng`.  It is also the identity the
+service keys its certainty cache, provenance table and schedule grouping
+by: a 32-byte string hashes and compares in constant time, where the
+formula tree would be walked on every lookup.  Canonical forms are interned
+by digest, so every live plan that mentions a lineage shares one object.
 """
 
 from __future__ import annotations
 
 import hashlib
+import threading
+import weakref
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -54,20 +60,16 @@ class CanonicalisationError(ValueError):
 class CanonicalLineage:
     """A lineage formula rebuilt over positional variable names.
 
-    ``formula`` and ``variables`` are hashable, so ``key`` can index the
-    service's result cache directly; ``digest`` keys the RNG spawn so that
-    the Monte-Carlo estimate of a canonical lineage is a pure function of
-    ``(digest, seed, epsilon, delta, method)`` regardless of which request,
-    group index, or worker thread computes it.
+    ``digest`` identifies the pair ``(formula, variables)``: it keys the
+    service's caches and the RNG spawn, so the Monte-Carlo estimate of a
+    canonical lineage is a pure function of ``(digest, seed, epsilon,
+    delta, method)`` regardless of which request, group index, or worker
+    thread computes it.
     """
 
     formula: ConstraintFormula
     variables: tuple[str, ...]
     digest: bytes
-
-    @property
-    def key(self) -> tuple[ConstraintFormula, tuple[str, ...]]:
-        return (self.formula, self.variables)
 
     @property
     def short(self) -> str:
@@ -155,13 +157,20 @@ def _serialise(formula: ConstraintFormula, parts: list[str]) -> None:
         raise CanonicalisationError(f"unexpected formula node: {type(formula).__name__}")
 
 
+#: digest -> the live canonical form with that digest.
+_interned: "weakref.WeakValueDictionary[bytes, CanonicalLineage]" = \
+    weakref.WeakValueDictionary()
+_interned_lock = threading.Lock()
+
+
 def canonicalise(formula: ConstraintFormula,
                  relevant_variables: tuple[str, ...]) -> CanonicalLineage:
     """Canonical form of ``(formula, relevant_variables)`` under null renaming.
 
     ``relevant_variables`` must cover every variable of the formula (it does
     for any :class:`TranslationResult`); position ``i`` is renamed to
-    ``v{i}``.
+    ``v{i}``.  Equal canonical forms come back as one shared object while
+    any holder keeps it alive.
     """
     mapping = {name: f"v{index}" for index, name in enumerate(relevant_variables)}
     renamed = _rename_formula(formula, mapping)
@@ -169,7 +178,10 @@ def canonicalise(formula: ConstraintFormula,
     parts: list[str] = [f"d{len(variables)}:"]
     _serialise(renamed, parts)
     digest = hashlib.sha256("".join(parts).encode("utf-8")).digest()
-    return CanonicalLineage(formula=renamed, variables=variables, digest=digest)
+    canonical = CanonicalLineage(formula=renamed, variables=variables,
+                                 digest=digest)
+    with _interned_lock:
+        return _interned.setdefault(digest, canonical)
 
 
 def canonicalise_lineage(lineage: TranslationResult) -> CanonicalLineage:

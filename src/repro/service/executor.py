@@ -24,11 +24,17 @@ available (workers inherit the parent's imports; start-up is milliseconds,
 not an interpreter boot per task wave) and is kept alive for reuse across
 requests; :func:`shutdown_pools` tears it down, and ``atexit`` does so as a
 backstop.
+
+Underneath both pools sits the BLAS library's own thread pool.  Serving
+processes run it on one thread (:func:`pin_blas_threads`): their matrix
+products are small, so spreading each over cores buys thread hand-offs,
+not speed, and competes with the executors above for the same cores.
 """
 
 from __future__ import annotations
 
 import atexit
+import ctypes
 import multiprocessing
 import os
 import threading
@@ -41,6 +47,9 @@ P = TypeVar("P")
 
 #: Executor kinds the service accepts for its Monte-Carlo phase.
 EXECUTORS = ("thread", "process")
+
+#: Environment variables through which an operator sizes the BLAS pool.
+_BLAS_ENV_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def available_cpus() -> int:
@@ -79,6 +88,69 @@ def run_tasks(tasks: Sequence[Callable[[], T]], jobs: int = 1) -> list[T]:
         return [future.result() for future in futures]
 
 
+# -- the BLAS thread budget --------------------------------------------------
+
+#: action -> the functions :func:`_openblas_functions` found (non-empty).
+_openblas_found: dict[str, list] = {}
+
+
+def _openblas_functions(action: str) -> list:
+    """``{action}_num_threads`` of every OpenBLAS loaded in this process.
+
+    NumPy and SciPy wheels each bundle their own OpenBLAS under a prefixed
+    symbol name (``64_``-suffixed for the 64-bit-integer build).  The
+    libraries are found through the process's memory map, so only ones
+    already loaded are touched; where there is no map (not Linux) or no
+    OpenBLAS, the list is empty.  A found list is kept: the search costs
+    about a millisecond, and health probes ask for the count every second.
+    """
+    found = _openblas_found.get(action)
+    if found is not None:
+        return found
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps
+                            if "openblas" in line})
+    except OSError:
+        return []
+    functions = []
+    for path in paths:
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in (f"scipy_openblas_{action}_num_threads64_",
+                     f"scipy_openblas_{action}_num_threads",
+                     f"openblas_{action}_num_threads64_",
+                     f"openblas_{action}_num_threads"):
+            function = getattr(library, name, None)
+            if function is not None:
+                functions.append(function)
+                break
+    if functions:
+        _openblas_found[action] = functions
+    return functions
+
+
+def pin_blas_threads() -> None:
+    """Run BLAS on one thread in this process, unless the operator sized it.
+
+    An ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` in the environment
+    wins; without a loaded OpenBLAS this does nothing.
+    """
+    if any(os.environ.get(name) for name in _BLAS_ENV_VARS):
+        return
+    for set_threads in _openblas_functions("set"):
+        set_threads(1)
+
+
+def blas_threads() -> Optional[int]:
+    """Threads this process's BLAS may use: the most of any loaded
+    OpenBLAS, or ``None`` when no OpenBLAS is loaded (unknown)."""
+    counts = [int(get_threads()) for get_threads in _openblas_functions("get")]
+    return max(counts) if counts else None
+
+
 # -- the shared process pool -------------------------------------------------
 
 _pool: Optional[ProcessPoolExecutor] = None
@@ -107,7 +179,8 @@ def _shared_pool(workers: int) -> ProcessPoolExecutor:
             if _pool is not None:
                 _pool.shutdown(wait=True)
             _pool = ProcessPoolExecutor(max_workers=workers,
-                                        mp_context=_context())
+                                        mp_context=_context(),
+                                        initializer=pin_blas_threads)
             _pool_workers = workers
         return _pool
 

@@ -12,6 +12,10 @@ handful of distinct skeletons.
 
 Groups are emitted in first-member order, so downstream processing (and the
 answers eventually returned) keeps the engine's first-witness order.
+
+A schedule depends only on the candidate list, so the service builds it
+once per plan-cache entry (:func:`build_plan`) and every later request on
+that plan reuses it without canonicalising again.
 """
 
 from __future__ import annotations
@@ -54,18 +58,45 @@ def partition_batches(items: Sequence, size: int) -> list[list]:
             for start in range(0, len(items), size)]
 
 
+@dataclass(frozen=True)
+class Plan:
+    """A candidate list with its schedule: what a plan-cache entry holds."""
+
+    candidates: tuple
+    schedule: tuple[TaskGroup, ...]
+    #: Per schedule group: names of the marked nulls its members' lineages
+    #: mention -- the provenance a cached certainty result depends on.
+    null_names: tuple[frozenset[str], ...]
+
+
 def build_schedule(candidates: Sequence["CandidateAnswer"]) -> list[TaskGroup]:
     """Group candidates by canonical lineage, in first-member order."""
     order: list[CanonicalLineage] = []
-    members_by_key: dict[tuple, list[int]] = {}
+    members_by_digest: dict[bytes, list[int]] = {}
     for index, candidate in enumerate(candidates):
         canonical = canonicalise_lineage(candidate.lineage)
-        bucket = members_by_key.get(canonical.key)
+        bucket = members_by_digest.get(canonical.digest)
         if bucket is None:
-            members_by_key[canonical.key] = [index]
+            members_by_digest[canonical.digest] = [index]
             order.append(canonical)
         else:
             bucket.append(index)
     return [TaskGroup(canonical=canonical,
-                      members=tuple(members_by_key[canonical.key]))
+                      members=tuple(members_by_digest[canonical.digest]))
             for canonical in order]
+
+
+def build_plan(candidates: Sequence["CandidateAnswer"]) -> Plan:
+    """Schedule ``candidates`` and collect each group's lineage null names."""
+    candidates = tuple(candidates)
+    schedule = tuple(build_schedule(candidates))
+    null_names = []
+    for group in schedule:
+        names: set[str] = set()
+        for member in group.members:
+            lineage = candidates[member].lineage
+            for variable in lineage.relevant_variables:
+                names.add(lineage.null_by_variable[variable].name)
+        null_names.append(frozenset(names))
+    return Plan(candidates=candidates, schedule=schedule,
+                null_names=tuple(null_names))

@@ -18,8 +18,12 @@ pipeline re-ran from scratch on every ``annotate_query`` call:
 5. **estimate** -- either single-shot at the requested ε, or adaptively
    (coarse first, streamed refinement; :mod:`repro.service.adaptive`);
    results land in the certainty cache keyed by
-   ``(canonical lineage, ε, δ, method, adaptive, seed)`` so structurally
-   repeated requests skip the Monte-Carlo phase entirely.
+   ``(canonical lineage digest, ε, δ, method, adaptive, seed)`` so
+   structurally repeated requests skip the Monte-Carlo phase entirely.
+
+Steps 2 and 3 depend only on the plan, so a plan-cache entry holds the
+candidates *and* their schedule: a request on a cached plan goes straight
+from parse to execute.
 
 The compiled-kernel memo of :mod:`repro.compile` sits underneath all of
 this; its hit/miss counters are surfaced in :meth:`AnnotationService.stats`
@@ -32,7 +36,7 @@ import re
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -61,7 +65,12 @@ from repro.obs.recorder import NULL_RECORDER
 from repro.obs.trace import NULL_TRACE, Trace
 from repro.service.planner import PLANNER_MODES, Planner, PlannerStats
 from repro.service.rng import SeedLike, root_sequence, spawn_stream
-from repro.service.scheduler import TaskGroup, build_schedule, partition_batches
+from repro.service.scheduler import (
+    Plan,
+    TaskGroup,
+    build_plan,
+    partition_batches,
+)
 
 #: Methods the service can dispatch on a pre-translated lineage.
 SERVICE_METHODS = ("auto", "exact", "afpras", "fpras")
@@ -363,6 +372,25 @@ def normalise_sql(sql: str) -> str:
 _normalise_sql = normalise_sql
 
 
+class _Snapshot(NamedTuple):
+    """One MVCC version as a request pins it.
+
+    The ambient dimension and the alternate-layout views are derived from
+    this version's database, so a request that pinned it before a
+    concurrent :meth:`AnnotationService.mutate` keeps reading one version
+    throughout, and cannot leave a view of it behind for later requests.
+    """
+
+    database: object
+    dimension: int
+    #: ``(backend, shards)`` -> this version under that layout.
+    views: dict
+
+
+def _pin(database) -> _Snapshot:
+    return _Snapshot(database, len(database.num_nulls_ordered()), {})
+
+
 def _seed_token(root: np.random.SeedSequence) -> tuple:
     """Hashable identity of a root sequence for the certainty-cache key.
 
@@ -419,9 +447,8 @@ class AnnotationService:
                                              shards=options.shards)
         elif options.shards is not None and hasattr(database, "with_shards"):
             database = database.with_shards(options.shards)
-        self._database = database
+        self._snapshot = _pin(database)
         self._options = options
-        self._dimension = len(database.num_nulls_ordered())
         # The fallback root for requests without their own seed is drawn
         # once per service: with ``options.seed=None`` this fixes fresh OS
         # entropy at construction, so repeated seedless requests still share
@@ -439,6 +466,7 @@ class AnnotationService:
         # Delta-driven invalidation bookkeeping: result-cache key -> names
         # of the marked nulls its served lineages actually touched.  A
         # mutation evicts exactly the keys whose nulls it deleted/updated.
+        # Keys are the certainty cache's, led by the lineage digest.
         self._result_provenance: dict[tuple, frozenset[str]] = {}
         self._provenance_lock = threading.Lock()
         # Writers are serialised; readers never take this lock.
@@ -462,10 +490,10 @@ class AnnotationService:
         #: backend name -> requests executed on it (auto mode may route a
         #: request to a different snapshot than the constructed one).
         self._backend_requests: dict[str, int] = {}
-        # The cost-based planner and its alternate-backend snapshots are
-        # created lazily: a manual-only service never pays for either.
+        # The cost-based planner and its alternate-backend views (held by
+        # each snapshot) are created lazily: a manual-only service never
+        # pays for either.
         self._planner_instance: Optional[Planner] = None
-        self._database_views: dict[tuple[str, int], object] = {}
         self._views_lock = threading.Lock()
         #: shard index -> [tasks, rows, witnesses, partition hits, misses].
         self._shard_counters: dict[int, list[int]] = {}
@@ -490,7 +518,7 @@ class AnnotationService:
 
     @property
     def database(self):
-        return self._database
+        return self._snapshot.database
 
     @property
     def options(self) -> ServiceOptions:
@@ -578,10 +606,12 @@ class AnnotationService:
 
         with tr.span("parse"):
             select = self._parse(query)
-        # Pin the snapshot once: a concurrent mutate() swaps self._database
+        # Pin the snapshot once: a concurrent mutate() swaps self._snapshot
         # to the next version, but this request keeps the version it
         # started on end to end (MVCC snapshot isolation).
-        database = self._database
+        snapshot = self._snapshot
+        database = snapshot.database
+        dimension = snapshot.dimension
         plan_engine: Optional[Planner] = None
         planned: Optional[dict] = None
         if planner == "auto":
@@ -597,28 +627,33 @@ class AnnotationService:
                     if cardinalities:
                         backend, shards = plan_engine.plan_enumeration(
                             cardinalities)
-                        database = self._database_for(backend, shards)
+                        database = self._database_for(snapshot, backend,
+                                                      shards)
                         plan_span.set("backend", backend)
                         plan_span.set("shards", shards)
                         if requested_jobs is None and shards > 1:
                             # Sharded enumeration wants one worker per shard.
                             jobs = min(plan_engine.cpus, shards)
+        plan: Optional[Plan] = None
         if candidates is None:
             with tr.span("enumerate") as enumerate_span:
-                candidates = self._plan(query, select, limit, group_witnesses,
-                                        jobs, database, span=enumerate_span)
+                plan = self._plan(query, select, limit, group_witnesses,
+                                  jobs, database, span=enumerate_span)
+                candidates = plan.candidates
                 enumerate_span.set("candidates", len(candidates))
 
         with tr.span("schedule") as schedule_span:
-            if reuse:
-                schedule = build_schedule(candidates)
-            else:
+            if plan is None:
+                # Caller-supplied candidates have no plan-cache entry.
+                plan = build_plan(candidates)
+            schedule = plan.schedule
+            if not reuse:
                 # Independent estimates per tuple: one single-member group per
                 # candidate, each with a distinct replica token in its stream.
-                schedule = [TaskGroup(canonical=group.canonical,
-                                      members=(index,))
-                            for group in build_schedule(candidates)
-                            for index in group.members]
+                schedule = tuple(TaskGroup(canonical=group.canonical,
+                                           members=(index,))
+                                 for group in schedule
+                                 for index in group.members)
             schedule_span.set("groups", len(schedule))
 
         if plan_engine is not None:
@@ -647,19 +682,20 @@ class AnnotationService:
                     plan_span.set(knob, choice)
 
         def cache_key(group: TaskGroup) -> tuple:
-            return (group.canonical.key, epsilon, delta, method, adaptive,
+            return (group.canonical.digest, epsilon, delta, method, adaptive,
                     seed_token)
 
         if reuse:
             # Record which marked nulls each group's lineages touch, so a
             # later mutation can evict exactly the affected cache entries.
-            self._record_provenance(schedule, candidates, cache_key)
+            self._record_provenance(plan, cache_key)
 
         def _estimate_group(group: TaskGroup,
                             span=None) -> tuple[CertaintyResult, bool]:
             result = self._estimate(group, epsilon, delta, method,
                                     adaptive, root, (group.members[0],),
-                                    on_update, trace=tr, parent=span)
+                                    on_update, dimension, trace=tr,
+                                    parent=span)
             return result, False
 
         def _decide_cold(group: TaskGroup, key,
@@ -675,10 +711,10 @@ class AnnotationService:
                 # a fast path.
                 landed = self._result_cache.peek(key)
                 if landed is not None:
-                    return self._patch_dimension(landed), False
+                    return _patch_dimension(landed, dimension), False
                 result = self._estimate(group, epsilon, delta, method,
                                         adaptive, root, (), on_update,
-                                        trace=tr, parent=span)
+                                        dimension, trace=tr, parent=span)
                 self._result_cache.put(key, result)
                 return result, True
 
@@ -697,7 +733,7 @@ class AnnotationService:
             key = cache_key(group)
             cached = self._result_cache.get(key)
             if cached is not None:
-                return self._patch_dimension(cached), True
+                return _patch_dimension(cached, dimension), True
             return _decide_cold(group, key, span)
 
         if tr is NULL_TRACE:
@@ -717,7 +753,7 @@ class AnnotationService:
                     key = cache_key(group)
                     cached = self._result_cache.get(key)
                     if cached is not None:
-                        return self._patch_dimension(cached), True
+                        return _patch_dimension(cached, dimension), True
                     # Spans from executor worker threads attach via the
                     # explicit parent handle, so the tree survives thread
                     # fan-out.
@@ -741,14 +777,15 @@ class AnnotationService:
         if fusion > 1 and len(schedule) > 1:
             outcomes, fusion_counters = self._decide_with_fusion(
                 schedule, decide, cache_key, reuse, epsilon, delta, method,
-                adaptive, root, jobs, executor, fusion, on_update, trace=tr)
+                adaptive, root, jobs, executor, fusion, on_update, dimension,
+                trace=tr)
         elif executor == "process" and jobs > 1 and on_update is None:
             # Worker processes cannot carry the trace; one umbrella span
             # stands in for the per-group breakdown.
             with tr.span("estimate", mode="process", groups=len(schedule)):
                 outcomes = self._decide_in_processes(
                     schedule, cache_key, reuse, epsilon, delta, method,
-                    adaptive, root, jobs)
+                    adaptive, root, jobs, dimension)
         else:
             outcomes = run_tasks(
                 [lambda group=group: decide(group) for group in schedule],
@@ -836,7 +873,7 @@ class AnnotationService:
             backend_requests = dict(self._backend_requests)
             shard_counters = {shard: list(counters) for shard, counters
                               in self._shard_counters.items()}
-        base_backend = getattr(self._database, "backend", "rows")
+        base_backend = getattr(self.database, "backend", "rows")
         base_requests = (backend_requests.pop(base_backend, 0)
                          if backend_requests else requests)
         backends = [BackendStats(
@@ -883,7 +920,7 @@ class AnnotationService:
                                batch_sizes=fusion_batch_sizes),
             planner=planner_stats,
             slow_queries=slow_queries,
-            data_version=getattr(self._database, "data_version", 0),
+            data_version=getattr(self.database, "data_version", 0),
             mutations_applied=mutations_applied,
             results_evicted=results_evicted,
             results_retained=len(self._result_cache),
@@ -918,21 +955,16 @@ class AnnotationService:
             raise MutationValidationError(
                 "SELECT is not a mutation; use submit()/annotate()")
         with self._mutation_lock:
-            database = self._database
+            database = self._snapshot.database
             new_database, deltas, outcome = execute_mutation(parsed, database)
             touched: frozenset[str] = frozenset()
             for delta in deltas.values():
                 touched |= delta.touched_nulls()
             evicted = self._evict_touched(touched)
             # The swap is a single reference assignment: requests pin
-            # self._database once at submit time, so they stay on their
-            # version; new requests pick this one up.
-            self._database = new_database
-            self._dimension = len(new_database.num_nulls_ordered())
-            with self._views_lock:
-                # Alternate-backend views were converted from the parent
-                # snapshot's content; rebuild on demand from the new one.
-                self._database_views.clear()
+            # self._snapshot once at submit time, so they stay on their
+            # version (and its views); new requests pick this one up.
+            self._snapshot = _pin(new_database)
             with self._counters_lock:
                 self._mutations_applied += 1
                 self._results_evicted += evicted
@@ -957,7 +989,7 @@ class AnnotationService:
                     evicted += 1
         return evicted
 
-    def _record_provenance(self, schedule, candidates, cache_key) -> None:
+    def _record_provenance(self, plan: Plan, cache_key) -> None:
         """Remember which marked nulls each group's result depends on.
 
         Only numerical nulls can occur in lineage formulas (base-null
@@ -965,42 +997,26 @@ class AnnotationService:
         the rows whose deletion could -- as a matter of provenance policy
         -- affect the entry.  Names accumulate across requests: the same
         canonical lineage served for different concrete rows answers for
-        all of them.
+        all of them.  The plan collected the names once; requests on it
+        only file them under their own cache keys.
         """
-        updates: dict[tuple, frozenset[str]] = {}
-        for group in schedule:
-            names: set[str] = set()
-            for member in group.members:
-                lineage = candidates[member].lineage
-                for variable in lineage.relevant_variables:
-                    names.add(lineage.null_by_variable[variable].name)
-            if names:
-                updates[cache_key(group)] = frozenset(names)
+        updates = [(cache_key(group), names) for group, names
+                   in zip(plan.schedule, plan.null_names) if names]
         if not updates:
             return
         with self._provenance_lock:
-            for key, names in updates.items():
+            for key, names in updates:
                 existing = self._result_provenance.get(key)
-                self._result_provenance[key] = (
-                    names if existing is None else existing | names)
+                if existing is None:
+                    self._result_provenance[key] = names
+                elif not names <= existing:
+                    self._result_provenance[key] = existing | names
             if len(self._result_provenance) > 2 * self._result_cache.capacity:
                 # Bound the side table: drop records whose cache entry is
                 # long gone (capacity-evicted between mutations).
                 for key in list(self._result_provenance):
                     if key not in self._result_cache:
                         del self._result_provenance[key]
-
-    def _patch_dimension(self, result: CertaintyResult) -> CertaintyResult:
-        """Re-stamp a cached result with the current ambient dimension.
-
-        The estimate itself is content-addressed (canonical lineage) and
-        cannot go stale, but the ambient null count is snapshot metadata:
-        after a mutation a cache hit must report the *new* dimension,
-        exactly as a cold compute against the new snapshot would.
-        """
-        if result.dimension == self._dimension:
-            return result
-        return replace(result, dimension=self._dimension)
 
     def invalidate(self) -> None:
         """Drop every cached artefact (for out-of-band database edits)."""
@@ -1010,11 +1026,11 @@ class AnnotationService:
         self._frontier_cache.clear()
         with self._provenance_lock:
             self._result_provenance.clear()
-        with self._views_lock:
-            # Alternate-backend snapshots were converted from the (now
-            # stale) database content; rebuild them on demand.
-            self._database_views.clear()
-        clear_shards = getattr(self._database, "clear_shard_cache", None)
+        database = self._snapshot.database
+        # Re-pin: the edits may have moved the ambient dimension, and the
+        # alternate-layout views hold the stale content.
+        self._snapshot = _pin(database)
+        clear_shards = getattr(database, "clear_shard_cache", None)
         if clear_shards is not None:
             clear_shards()
 
@@ -1028,17 +1044,19 @@ class AnnotationService:
         return self._parse_cache.get_or_compute(key, lambda: parse_sql(query))
 
     def _plan(self, query, select, limit: Optional[int],
-              group_witnesses: bool, jobs: int, database=None,
-              span=None) -> tuple:
+              group_witnesses: bool, jobs: int, database,
+              span=None) -> Plan:
+        """The candidates of ``select`` on ``database`` with their schedule.
+
+        Both are built once per plan-cache entry: a hit costs no
+        enumeration and no canonicalisation.
+        """
         from repro.engine.candidates import enumerate_candidates
 
-        if database is None:
-            database = self._database
-
-        def enumerate_() -> tuple:
+        def enumerate_() -> Plan:
             sink: dict = {}
             enumeration_started = time.perf_counter()
-            planned = tuple(enumerate_candidates(
+            candidates = tuple(enumerate_candidates(
                 select, database, limit=limit,
                 group_witnesses=group_witnesses, jobs=jobs,
                 shard_stats=sink, frontier_cache=self._frontier_cache))
@@ -1054,7 +1072,7 @@ class AnnotationService:
                         {"shard": entry["shard"], "tasks": entry["tasks"],
                          "witnesses": entry["witnesses"]}
                         for entry in sink.get("per_shard", ())])
-            return planned
+            return build_plan(candidates)
 
         if not isinstance(query, str):
             # No stable text key; planning an AST is not cached.
@@ -1104,24 +1122,25 @@ class AnnotationService:
                 self._planner_instance = Planner()
             return self._planner_instance
 
-    def _database_for(self, backend: str, shards: int):
-        """The database snapshot under ``(backend, shards)``, converted once.
+    def _database_for(self, snapshot: _Snapshot, backend: str, shards: int):
+        """The pinned ``snapshot`` under ``(backend, shards)``, converted once.
 
-        The constructed snapshot serves matching requests directly;
-        alternate layouts are converted lazily and cached for the service's
-        lifetime (content is identical across layouts, so every snapshot
-        yields the same answers and lineage digests).
+        The snapshot's own layout serves matching requests directly;
+        alternate layouts are converted lazily and cached on the snapshot,
+        so they live exactly as long as requests pinned to that version
+        (content is identical across layouts, so every view yields the
+        same answers and lineage digests).
         """
-        base = self._database
+        base = snapshot.database
         if (getattr(base, "backend", "rows") == backend
                 and getattr(base, "shards", 1) == shards):
             return base
         key = (backend, shards)
         with self._views_lock:
-            view = self._database_views.get(key)
+            view = snapshot.views.get(key)
             if view is None:
                 view = base.with_backend(backend, shards=shards)
-                self._database_views[key] = view
+                snapshot.views[key] = view
             return view
 
     def _observe_enumeration(self, select, database, elapsed: float) -> None:
@@ -1143,6 +1162,7 @@ class AnnotationService:
                             root: np.random.SeedSequence, jobs: int,
                             executor: str, batch_size: int,
                             on_update: Optional[GroupUpdateCallback],
+                            dimension: int,
                             trace=NULL_TRACE) -> tuple[list, dict]:
         """The Monte-Carlo phase with block-diagonal kernel fusion.
 
@@ -1165,7 +1185,8 @@ class AnnotationService:
             if reuse:
                 cached = self._result_cache.get(cache_key(group))
                 if cached is not None:
-                    outcomes[position] = (self._patch_dimension(cached), True)
+                    outcomes[position] = (_patch_dimension(cached, dimension),
+                                          True)
                     continue
             if fusable_method(method, group.canonical.translation()):
                 fusable_positions.append(position)
@@ -1194,7 +1215,7 @@ class AnnotationService:
         def land(positions: Sequence[int], results: Sequence) -> None:
             for position, result in zip(positions, results):
                 group = schedule[position]
-                result = replace(result, dimension=self._dimension,
+                result = replace(result, dimension=dimension,
                                  relevant_dimension=group.canonical.dimension)
                 if reuse:
                     self._result_cache.put(cache_key(group), result)
@@ -1204,7 +1225,7 @@ class AnnotationService:
             if solo_positions:
                 solo_outcomes = self._decide_in_processes(
                     [schedule[p] for p in solo_positions], cache_key, reuse,
-                    epsilon, delta, method, adaptive, root, jobs)
+                    epsilon, delta, method, adaptive, root, jobs, dimension)
                 for position, outcome in zip(solo_positions, solo_outcomes):
                     outcomes[position] = outcome
             payloads = [fused_payload(
@@ -1267,8 +1288,9 @@ class AnnotationService:
     def _decide_in_processes(self, schedule: Sequence[TaskGroup], cache_key,
                              reuse: bool, epsilon: float, delta: float,
                              method: str, adaptive: bool,
-                             root: np.random.SeedSequence,
-                             jobs: int) -> list[tuple[CertaintyResult, bool]]:
+                             root: np.random.SeedSequence, jobs: int,
+                             dimension: int
+                             ) -> list[tuple[CertaintyResult, bool]]:
         """The Monte-Carlo phase across worker processes, cache-coherent.
 
         Cache lookups stay in this process (the caches are not shared with
@@ -1289,7 +1311,8 @@ class AnnotationService:
             if reuse:
                 cached = self._result_cache.get(cache_key(group))
                 if cached is not None:
-                    outcomes[position] = (self._patch_dimension(cached), True)
+                    outcomes[position] = (_patch_dimension(cached, dimension),
+                                          True)
                     continue
             replica = () if reuse else (group.members[0],)
             payloads.append((
@@ -1301,7 +1324,7 @@ class AnnotationService:
         results = process_map(_estimate_task, payloads, jobs=jobs)
         for position, result in zip(positions, results):
             group = schedule[position]
-            result = replace(result, dimension=self._dimension,
+            result = replace(result, dimension=dimension,
                              relevant_dimension=group.canonical.dimension)
             if reuse:
                 self._result_cache.put(cache_key(group), result)
@@ -1311,7 +1334,7 @@ class AnnotationService:
     def _estimate(self, group: TaskGroup, epsilon: float, delta: float,
                   method: str, adaptive: bool, root: np.random.SeedSequence,
                   replica: tuple[int, ...],
-                  on_update: Optional[GroupUpdateCallback],
+                  on_update: Optional[GroupUpdateCallback], dimension: int,
                   trace=NULL_TRACE, parent=None) -> CertaintyResult:
         canonical = group.canonical
         translation = canonical.translation()
@@ -1345,8 +1368,21 @@ class AnnotationService:
                 rng=spawn_stream(root, canonical.digest, *replica))
         # The canonical translation deliberately forgets the database's
         # ambient dimension; patch it back for faithful result metadata.
-        return replace(result, dimension=self._dimension,
+        return replace(result, dimension=dimension,
                        relevant_dimension=canonical.dimension)
+
+
+def _patch_dimension(result: CertaintyResult, dimension: int) -> CertaintyResult:
+    """Re-stamp a cached result with the pinned snapshot's ambient dimension.
+
+    The estimate itself is content-addressed (canonical lineage) and
+    cannot go stale, but the ambient null count is snapshot metadata:
+    after a mutation a cache hit must report the *new* dimension, exactly
+    as a cold compute against the new snapshot would.
+    """
+    if result.dimension == dimension:
+        return result
+    return replace(result, dimension=dimension)
 
 
 def _estimate_task(payload) -> CertaintyResult:

@@ -11,10 +11,14 @@ references and assert that
   fresh service's answers on the same snapshot content, bit for bit;
 * a query whose lineage does not touch the mutated rows stays warm
   (served from the result cache, no new estimate computed);
-* the stats counters account for every eviction and retention.
+* the stats counters account for every eviction and retention;
+* an alternate-layout view built by a request that raced a write is
+  never served to the requests after it.
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 import pytest
@@ -147,6 +151,56 @@ class TestDeltaDrivenInvalidation:
         assert stats.results_retained == 0
         frontier = {c.name: c for c in stats.caches}["frontier"]
         assert frontier.size == 0
+
+
+class _WriteOnViewLookup:
+    """Stands in for the service's views lock.  The first time a request
+    looks up an alternate-layout view, a write commits just before the
+    lock is taken -- after the request pinned its snapshot."""
+
+    def __init__(self, inner, write) -> None:
+        self.inner = inner
+        self.write = write
+        self.fired = False
+
+    def __enter__(self):
+        if (not self.fired
+                and sys._getframe(1).f_code.co_name == "_database_for"):
+            self.fired = True
+            self.write()
+        return self.inner.__enter__()
+
+    def __exit__(self, *exc_info):
+        return self.inner.__exit__(*exc_info)
+
+
+class TestLayoutViewsFollowTheSnapshot:
+    def test_view_built_across_a_write_is_not_served_afterwards(
+            self, monkeypatch):
+        from repro.datagen.experiments import (
+            ExperimentScale,
+            generate_sales_database,
+        )
+
+        database = generate_sales_database(
+            ExperimentScale(products=20, orders=20, markets=4), rng=2)
+        service = AnnotationService(
+            database, ServiceOptions(seed=3, epsilon=0.2, backend="rows"))
+        # The planner routes every request to a layout the base is not in.
+        planner = service._get_planner()
+        monkeypatch.setattr(planner, "plan_enumeration",
+                            lambda cardinalities: ("columnar", 2))
+        insert = "INSERT INTO Products VALUES ('p9001', 'seg1', 39.0, 0.5)"
+        service._views_lock = _WriteOnViewLookup(
+            service._views_lock, lambda: service.mutate(insert))
+        sql = "SELECT P.id FROM Products P WHERE P.id = 'p9001'"
+        request = dict(planner="auto", jobs=1, executor="thread", fusion=0)
+
+        racing = service.submit(sql, **request)
+        assert service._views_lock.fired
+        assert racing.answers == (), "the racing request read its snapshot"
+        after = service.submit(sql, **request)
+        assert [answer.values for answer in after.answers] == [("p9001",)]
 
 
 def _rebuild(service: AnnotationService) -> Database:

@@ -18,6 +18,12 @@ sharded headline on a host with fewer than 4 cores, where process
 parallelism cannot show itself) are reported but never gate, on either
 side of the comparison.
 
+Bench data from a failing run is rejected rather than compared: a
+headline entry holding a non-finite number (``NaN`` latencies of a run
+that served nothing) or ``protocol_errors > 0`` fails the gate when it
+is in the fresh file, and is reported as not baseline-eligible -- never
+used as a floor -- when it is in the baseline.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/run_bench.py --quick --output fresh.json
@@ -30,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -53,21 +60,56 @@ def latest_baseline(root: Path = REPO_ROOT) -> Path:
     return max(candidates)[1]
 
 
-def headline_speedups(baseline: dict) -> dict[str, dict]:
+def headlines(bench: dict) -> dict[str, dict]:
+    """Every headline entry of a bench JSON: ``name -> entry``."""
+    return {key: value for key, value in bench.items()
+            if _HEADLINE_PATTERN.match(key) and isinstance(value, dict)}
+
+
+def headline_speedups(bench: dict) -> dict[str, dict]:
     """Every gated scenario of a bench JSON: ``name -> headline entry``."""
-    return {
-        key: value
-        for key, value in baseline.items()
-        if _HEADLINE_PATTERN.match(key)
-        and isinstance(value, dict) and "speedup" in value
-    }
+    return {key: value for key, value in headlines(bench).items()
+            if "speedup" in value}
+
+
+def _numbers(value, path: str):
+    """``(path, number)`` for every number nested in a JSON value."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _numbers(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _numbers(item, f"{path}[{index}]")
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield path, value
+
+
+def invalid_reasons(entry: dict) -> list[str]:
+    """Why a headline entry is not valid bench data; empty when it is."""
+    reasons = [f"{path} is {value}" for path, value in _numbers(entry, "")
+               if not math.isfinite(value)]
+    errors = entry.get("protocol_errors", 0)
+    if errors:
+        reasons.append(f"protocol_errors is {errors}")
+    return reasons
 
 
 def compare(fresh: dict, baseline: dict, tolerance: float) -> list[str]:
     """Human-readable failure lines; empty means the gate passes."""
     failures: list[str] = []
     fresh_headlines = headline_speedups(fresh)
+    for name, entry in sorted(headlines(fresh).items()):
+        reasons = invalid_reasons(entry)
+        if reasons:
+            fresh_headlines.pop(name, None)
+            failures.append(f"{name}: invalid bench data in the fresh run "
+                            f"({'; '.join(reasons)})")
     baseline_headlines = headline_speedups(baseline)
+    for name in sorted(baseline_headlines):
+        reasons = invalid_reasons(baseline_headlines[name])
+        if reasons:
+            del baseline_headlines[name]
+            print(f"{name:<20} not baseline-eligible: {'; '.join(reasons)}")
     shared = sorted(set(fresh_headlines) & set(baseline_headlines))
     if not shared:
         failures.append("no shared headline scenarios between the two runs; "

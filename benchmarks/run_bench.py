@@ -71,7 +71,7 @@ from repro.geometry.montecarlo import hoeffding_sample_size
 from repro.relational.database import Database
 from repro.relational.schema import DatabaseSchema, RelationSchema
 from repro.relational.values import NumNull
-from repro.service import AnnotationService
+from repro.service import AnnotationService, blas_threads, pin_blas_threads
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_PR10.json"
 
@@ -624,8 +624,8 @@ MUTATION_SQL = ("SELECT F.key FROM Fact F, Dim D "
 
 def _mutation_script(config) -> list:
     """The version history: mostly multi-row INSERTs, every fifth version
-    a predicated DELETE or arithmetic UPDATE (which invalidate the cached
-    frontier and force the epoch-bump paths)."""
+    a predicated DELETE or arithmetic UPDATE (which force the deletion
+    rebuild and the frontier remap at commit)."""
     rng = np.random.default_rng(config["seed"])
     statements = []
     for version in range(config["versions"]):
@@ -682,7 +682,9 @@ def bench_mutations(quick: bool) -> dict:
         chain = base
         results = []
         for statement in statements:
-            chain, _, _ = execute_mutation(statement, chain)
+            parent = chain
+            chain, deltas, _ = execute_mutation(statement, parent)
+            frontier_cache.advance(parent, chain, deltas)
             results.append(enumerate_candidates(
                 select, chain, limit=config["limit"],
                 frontier_cache=frontier_cache))
@@ -1000,7 +1002,19 @@ def bench_obs(quick: bool) -> dict:
     return {"scheme": "obs", "configs": [row]}
 
 
+def host_record() -> dict:
+    """The host block of the BENCH JSON: what the numbers ran on.
+
+    ``blas_threads`` is ``None`` when no OpenBLAS is loaded (unknown).
+    """
+    return {"cpu_count": os.cpu_count() or 1,
+            "blas_threads": blas_threads()}
+
+
 def main() -> int:
+    # BLAS on one thread, as in every serving process: small GEMMs spread
+    # over several cores run slower, not faster.
+    pin_blas_threads()
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
                         help="single repeat per config, headline configs only "
@@ -1042,6 +1056,7 @@ def main() -> int:
         "quick": args.quick,
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "host": host_record(),
         "headline": {
             "config": AFPRAS_HEADLINE,
             "scalar_seconds": headline["scalar_seconds"],

@@ -486,6 +486,7 @@ def _adaptive_printer():
 
 
 def _run_annotate(args: argparse.Namespace) -> int:
+    pin_blas_threads()
     service = _load_service(args)
     sql = args.sql if args.sql is not None else EXPERIMENT_QUERIES[args.query_name]
     trace_path = getattr(args, "trace", None)

@@ -51,7 +51,7 @@ def _where_clause(rng: np.random.Generator, relation: RelationSchema,
     Biased toward predicates that match *some* rows: equality on pool
     values and loose numeric bounds.  A missing WHERE (full-table match)
     stays in rotation with low probability -- it exercises the rebuild of
-    an emptied table and the frontier cache's epoch bump.
+    an emptied table and the frontier remap that drops every witness.
     """
     if rng.random() < 0.08:
         return ""

@@ -573,21 +573,27 @@ def _compute_frontier(select: SelectQuery,
 
 # -- incremental frontier maintenance ----------------------------------------
 #
-# The MVCC commit path (:mod:`repro.relational.mutation`) keeps row indices
-# of surviving rows stable across *append-only* versions: untouched tables
-# share their relation objects outright, appended tables keep every old row
-# at its old index and add a tail segment.  A join frontier computed at
-# version ``V`` is therefore still a correct *subset* of the frontier at a
-# later append-only version ``V'`` -- what is missing are exactly the
-# witnesses that use at least one appended row.  Writing the new frontier as
-# a telescoping difference over the bindings ``b_0 .. b_{k-1}``::
+# The MVCC commit path (:mod:`repro.relational.mutation`) seals every new
+# version in rebuild row order: a touched table keeps its surviving rows in
+# their old relative order and appends the inserted ones (an UPDATE's new
+# row included) as a tail segment.  A row's index therefore moves by one
+# monotone shift -- parent row ``i`` lands at ``i - |{deleted d < i}|`` --
+# so a join frontier cached at version ``V`` is carried to ``V + 1`` at
+# commit time (:meth:`FrontierCache.advance`): witnesses that used a
+# deleted row are dropped, the survivors' row indices are shifted, and the
+# per-binding lengths shrink to the kept counts.  A monotone shift keeps
+# the lexicographic DFS witness order (and the parallel residual tuples)
+# intact, so the carried frontier is exactly the new version's frontier
+# restricted to rows below those lengths.  What is missing are exactly the
+# witnesses that use at least one tail row.  Writing the new frontier as a
+# telescoping difference over the bindings ``b_0 .. b_{k-1}``::
 #
 #     F(m) - F(n) = sum_t  [b_0..b_{t-1} full] x [b_t new] x [b_{t+1}.. old]
 #
 # each term is an ordinary frontier computation with per-binding row ranges
-# (binding ``t`` restricted to its appended rows ``[n_t, m_t)``, later
-# bindings to their old prefix ``[0, n_i)``), the terms are pairwise
-# disjoint and disjoint from the old frontier, and the DFS witness order is
+# (binding ``t`` restricted to its tail rows ``[n_t, m_t)``, later bindings
+# to their old prefix ``[0, n_i)``), the terms are pairwise disjoint and
+# disjoint from the old frontier, and the DFS witness order is
 # lexicographic over per-binding row indices -- so one ``np.lexsort`` merge
 # restores exactly the order a from-scratch enumeration would produce.
 
@@ -598,30 +604,30 @@ class _FrontierEntry:
 
     version_token: object
     data_version: int
-    #: Per-binding relation length at compute time (the ``n_t`` above).
+    #: Per-binding relation length the frontier covers (the ``n_t`` above).
     lengths: dict
     frontier: dict
     pending: Optional[list]
 
 
 class FrontierCache:
-    """A small per-service cache of join frontiers, maintained under appends.
+    """A small per-service cache of join frontiers, maintained under writes.
 
     Keyed by the select AST (frozen dataclasses, hashable): the same query
-    shape re-run after an append-only mutation reuses its old frontier and
-    delta-joins only the appended rows.  An entry is *eligible* for a
-    database snapshot when
+    shape re-run after a mutation reuses its old frontier and delta-joins
+    only the tail rows.  The owner calls :meth:`advance` at every commit,
+    which carries each entry of the parent version over to the new one;
+    an entry is therefore *eligible* for a database snapshot when
 
     * the snapshot belongs to the same version chain (``version_token``
       identity -- a rebuilt or converted database never matches),
-    * no queried table saw a non-append mutation since the entry's version
-      (``table_epoch`` at or below it), and
-    * no queried table shrank (lengths monotone).
+    * the entry is stamped with the snapshot's own ``data_version``, and
+    * no queried table shrank below the entry's lengths.
 
-    Deletes bump the table's epoch, so eligibility degrades exactly to the
-    cases where old row indices are still valid.  Used by the unsharded
-    eager path only; sharded execution has its own partition-cache
-    carryover.
+    :meth:`store` never replaces an entry with one from an older version
+    of the same chain, so a reader pinned before a commit cannot undo the
+    commit's :meth:`advance`.  Used by the unsharded eager path only;
+    sharded execution has its own partition-cache carryover.
     """
 
     def __init__(self, capacity: int = 8) -> None:
@@ -630,12 +636,14 @@ class FrontierCache:
         from repro.caching import LruCache
 
         self._cache = LruCache(capacity, name="frontier")
+        #: Guards the hit/miss counters and makes :meth:`store`'s version
+        #: check and :meth:`advance`'s remap atomic with their writes.
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
 
     def stats(self):
-        # An entry present but ineligible (epoch advanced, chain diverged)
+        # An entry present but ineligible (other version, chain diverged)
         # is a miss to the caller, so report eligibility-aware counters
         # rather than the raw LruCache presence counters.
         from dataclasses import replace
@@ -652,16 +660,11 @@ class FrontierCache:
         """The entry for ``select`` if it is eligible for ``database``."""
         entry = self._cache.peek(select)
         eligible = (entry is not None
-                    and entry.version_token is database.version_token)
-        if eligible:
-            for reference in select.tables:
-                if database.table_epoch(reference.table) > entry.data_version:
-                    eligible = False
-                    break
-                relation = database.relation(reference.table)
-                if len(relation) < entry.lengths[reference.binding]:
-                    eligible = False
-                    break
+                    and entry.version_token is database.version_token
+                    and entry.data_version == database.data_version
+                    and all(len(database.relation(reference.table))
+                            >= entry.lengths[reference.binding]
+                            for reference in select.tables))
         with self._lock:
             if eligible:
                 self._hits += 1
@@ -676,13 +679,69 @@ class FrontierCache:
               frontier: dict, pending: Optional[list]) -> None:
         lengths = {reference.binding: len(database.relation(reference.table))
                    for reference in select.tables}
-        self._cache.put(select, _FrontierEntry(
+        entry = _FrontierEntry(
             version_token=database.version_token,
             data_version=database.data_version,
             lengths=lengths,
             frontier=frontier,
             pending=pending,
-        ))
+        )
+        with self._lock:
+            current = self._cache.peek(select)
+            if (current is not None
+                    and current.version_token is entry.version_token
+                    and current.data_version > entry.data_version):
+                return  # already advanced past this reader's snapshot
+            self._cache.put(select, entry)
+
+    def advance(self, parent: Database, database: Database,
+                deltas: dict) -> None:
+        """Carry the entries computed at ``parent`` over to ``database``.
+
+        ``database`` is the snapshot a mutation committed on top of
+        ``parent`` and ``deltas`` its ``{table: TableDelta}``.  Entries of
+        other chains or versions are left alone.
+        """
+        with self._lock:
+            for select in self._cache.keys():
+                entry = self._cache.peek(select)
+                if (entry is None
+                        or entry.version_token is not parent.version_token
+                        or entry.data_version != parent.data_version):
+                    continue
+                self._cache.put(select, _advance_entry(
+                    select, entry, deltas, database.data_version))
+
+
+def _advance_entry(select: SelectQuery, entry: _FrontierEntry,
+                   deltas: dict, data_version: int) -> _FrontierEntry:
+    """``entry`` remapped across one commit's deletes (see above)."""
+    from dataclasses import replace
+
+    frontier = dict(entry.frontier)
+    lengths = dict(entry.lengths)
+    keep: Optional[np.ndarray] = None
+    for reference in select.tables:
+        delta = deltas.get(reference.table)
+        if delta is None or not delta.deleted_indices:
+            continue
+        binding = reference.binding
+        deleted = np.asarray(delta.deleted_indices, dtype=np.int64)
+        rows = frontier[binding]
+        below = np.searchsorted(deleted, rows)
+        survives = deleted[np.minimum(below, len(deleted) - 1)] != rows
+        keep = survives if keep is None else keep & survives
+        frontier[binding] = rows - below
+        lengths[binding] -= int(np.searchsorted(deleted, lengths[binding]))
+    pending = entry.pending
+    if keep is not None and not keep.all():
+        positions = np.flatnonzero(keep)
+        frontier = {binding: rows[positions]
+                    for binding, rows in frontier.items()}
+        if pending is not None:
+            pending = [pending[index] for index in positions.tolist()]
+    return replace(entry, data_version=data_version, lengths=lengths,
+                   frontier=frontier, pending=pending)
 
 
 def _maintain_frontier(select: SelectQuery, database: Database,

@@ -70,12 +70,6 @@ class Database:
         #: (plan caches key on these, so untouched tables stay warm).
         self._table_versions: dict[str, int] = {
             name: 0 for name in self._relations}
-        #: Per-table version of the last *non-append* mutation (deletes and
-        #: updates shift row indices; appends do not).  The incremental
-        #: frontier maintenance is only sound against snapshots whose
-        #: epochs have not moved past the cached version.
-        self._table_epochs: dict[str, int] = {
-            name: 0 for name in self._relations}
         #: Identity of this snapshot's version chain: shared by every
         #: snapshot committed from this one, distinct for converted copies.
         self._version_token: object = object()
@@ -142,7 +136,6 @@ class Database:
             duplicate._relations[name] = relation.copy()
         duplicate._data_version = self._data_version
         duplicate._table_versions = dict(self._table_versions)
-        duplicate._table_epochs = dict(self._table_epochs)
         return duplicate
 
     def with_backend(self, backend: str,
@@ -172,7 +165,6 @@ class Database:
         # the converted snapshot evolves independently of its source.
         converted._data_version = self._data_version
         converted._table_versions = dict(self._table_versions)
-        converted._table_epochs = dict(self._table_epochs)
         return converted
 
     def with_shards(self, shards: int) -> "Database":
@@ -194,7 +186,6 @@ class Database:
         # chain identity and the version bookkeeping outright.
         view._data_version = self._data_version
         view._table_versions = self._table_versions
-        view._table_epochs = self._table_epochs
         view._version_token = self._version_token
         return view
 
@@ -229,10 +220,6 @@ class Database:
     def table_version(self, name: str) -> int:
         """Version of the last committed mutation that touched ``name``."""
         return self._table_versions.get(name, 0)
-
-    def table_epoch(self, name: str) -> int:
-        """Version of the last committed *non-append* mutation of ``name``."""
-        return self._table_epochs.get(name, 0)
 
     def version_info(self) -> dict:
         """The snapshot's version metadata, for stats and wire reporting."""
@@ -271,11 +258,8 @@ class Database:
         sealed._data_version = self._data_version + 1
         sealed._version_token = self._version_token
         sealed._table_versions = dict(self._table_versions)
-        sealed._table_epochs = dict(self._table_epochs)
-        for table, delta in deltas.items():
+        for table in deltas:
             sealed._table_versions[table] = sealed._data_version
-            if not delta.append_only:
-                sealed._table_epochs[table] = sealed._data_version
         # Concurrent readers may be filling the parent's cache right now;
         # copy the dict once so carryover iterates a stable view.
         sealed._shard_cache = extend_shard_cache(

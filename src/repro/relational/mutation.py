@@ -79,9 +79,13 @@ class MutationConflictError(MutationError):
 class TableDelta:
     """What one committed mutation did to one table.
 
-    ``deleted_rows`` holds the removed tuples themselves (not indices):
-    the service's delta-driven invalidation needs the nulls those rows
-    carried, and the rows are already materialised at delete time.
+    ``deleted_rows`` holds the removed tuples themselves: the service's
+    delta-driven invalidation needs the nulls those rows carried, and the
+    rows are already materialised at delete time.  ``deleted_indices``
+    holds their row indices in parent numbering, ascending and parallel
+    to ``deleted_rows``: the commit keeps the surviving rows in order, so
+    a parent row ``i`` lands at ``i - (deleted indices below i)``, which
+    is what lets cached join frontiers be remapped instead of recomputed.
     ``appended`` counts rows added at the tail; ``old_length`` is the
     table's row count in the parent snapshot.
     """
@@ -90,6 +94,7 @@ class TableDelta:
     old_length: int
     appended: int
     deleted_rows: tuple[tuple[Value, ...], ...] = ()
+    deleted_indices: tuple[int, ...] = ()
 
     @property
     def append_only(self) -> bool:
@@ -212,12 +217,13 @@ class Mutation:
         for table, edit in self._edits.items():
             if not edit.inserts and not edit.deleted:
                 continue
+            deleted = sorted(edit.deleted)
             deltas[table] = TableDelta(
                 table=table,
                 old_length=edit.old_length,
                 appended=len(edit.inserts),
-                deleted_rows=tuple(edit.deleted[index]
-                                   for index in sorted(edit.deleted)))
+                deleted_rows=tuple(edit.deleted[index] for index in deleted),
+                deleted_indices=tuple(deleted))
             rebuilt[table] = self._rebuild(edit)
         return self._database._commit_mutation(rebuilt, deltas), deltas
 

@@ -172,6 +172,23 @@ def _context():
     return multiprocessing.get_context()
 
 
+def _init_worker() -> None:
+    """Start-up of every pool worker.
+
+    A forked worker inherits the multiprocessing resource tracker's lock
+    in the state the fork found it: held, if another thread of the parent
+    was registering a shared-memory block at that moment (a concurrent
+    request exporting its shards).  Nothing in the worker would ever
+    release it, and attaching a shard's blocks registers them, so the
+    worker would hang on its first task and the request with it.  The
+    worker's only thread is this one, so re-initialising the lock is safe.
+    """
+    from multiprocessing import resource_tracker
+
+    resource_tracker._resource_tracker._lock._at_fork_reinit()
+    pin_blas_threads()
+
+
 def _shared_pool(workers: int) -> ProcessPoolExecutor:
     global _pool, _pool_workers
     with _pool_lock:
@@ -180,7 +197,7 @@ def _shared_pool(workers: int) -> ProcessPoolExecutor:
                 _pool.shutdown(wait=True)
             _pool = ProcessPoolExecutor(max_workers=workers,
                                         mp_context=_context(),
-                                        initializer=pin_blas_threads)
+                                        initializer=_init_worker)
             _pool_workers = workers
         return _pool
 

@@ -417,7 +417,8 @@ class AnnotationService:
     plans become unreachable, untouched tables stay warm), certainty
     results are evicted only when their recorded lineage nulls intersect
     the mutation's deleted/updated rows, and the join-frontier cache
-    delta-joins appended rows instead of re-enumerating.  The wholesale
+    remaps its frontiers at commit and delta-joins the tail rows instead
+    of re-enumerating.  The wholesale
     :meth:`invalidate` remains for out-of-band database edits.
     """
 
@@ -459,8 +460,9 @@ class AnnotationService:
         self._plan_cache = LruCache(options.plan_cache_size, name="candidates")
         self._result_cache = LruCache(options.result_cache_size, name="certainty")
         # Incremental join-frontier maintenance for the unsharded columnar
-        # path: after an append-only mutation, re-enumeration delta-joins
-        # only the appended rows (see FrontierCache in engine.vectorized).
+        # path: every commit remaps the cached frontiers onto the new
+        # version, and re-enumeration delta-joins only the tail rows (see
+        # FrontierCache in engine.vectorized).
         from repro.engine.vectorized import FrontierCache
         self._frontier_cache = FrontierCache()
         # Delta-driven invalidation bookkeeping: result-cache key -> names
@@ -936,7 +938,8 @@ class AnnotationService:
         delta-driven: certainty results are evicted only when their
         recorded lineage nulls intersect the mutation's deleted/updated
         rows; plan-cache entries of untouched tables stay reachable
-        (their version keys did not move); appended rows feed the
+        (their version keys did not move); cached join frontiers are
+        remapped onto the new version, and its tail rows feed the
         incremental frontier maintenance on the next enumeration.
 
         Raises :class:`~repro.relational.mutation.MutationValidationError`
@@ -957,6 +960,7 @@ class AnnotationService:
         with self._mutation_lock:
             database = self._snapshot.database
             new_database, deltas, outcome = execute_mutation(parsed, database)
+            self._frontier_cache.advance(database, new_database, deltas)
             touched: frozenset[str] = frozenset()
             for delta in deltas.values():
                 touched |= delta.touched_nulls()

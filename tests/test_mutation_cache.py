@@ -1,7 +1,8 @@
 """Stale-cache detector: delta-driven invalidation never serves stale state.
 
 The service keeps three mutation-sensitive caches: plan/candidate caches
-(keyed by per-table versions), the frontier cache (epoch-checked), and
+(keyed by per-table versions), the frontier cache (remapped onto every
+new version at commit), and
 the certainty result cache with recorded lineage provenance (evicted
 when a mutation deletes rows whose nulls the cached lineage mentions).
 These property tests mutate *exactly* the rows a cached result's lineage
@@ -13,16 +14,22 @@ references and assert that
   (served from the result cache, no new estimate computed);
 * the stats counters account for every eviction and retention;
 * an alternate-layout view built by a request that raced a write is
-  never served to the requests after it.
+  never served to the requests after it, and a frontier stored by such
+  a request never replaces the one the write carried forward.
 """
 
 from __future__ import annotations
 
 import sys
+import threading
 
 import numpy as np
 import pytest
 
+from repro.engine.candidates import enumerate_candidates
+from repro.engine.mutate import execute_mutation
+from repro.engine.sql.parser import parse_sql, parse_statement
+from repro.engine.vectorized import FrontierCache
 from repro.relational.database import Database
 from repro.relational.schema import DatabaseSchema, RelationSchema
 from repro.relational.values import NumNull
@@ -134,14 +141,22 @@ class TestDeltaDrivenInvalidation:
     def test_frontier_cache_counters_track_eligibility(self):
         service = _service(_database())
         service.submit(Q_T)  # miss: cold
-        service.submit(Q_T)  # warm result cache, but same snapshot
+        service.submit(Q_T)  # warm result cache, same snapshot: no lookup
         service.mutate("INSERT INTO t VALUES ('z', 7)")
-        service.submit(Q_T)  # hit: append-only, delta-maintained
+        service.submit(Q_T)  # hit: the tail row is delta-joined
         service.mutate("DELETE FROM t WHERE key = 'z'")
-        service.submit(Q_T)  # miss: epoch moved past the cached entry
-        frontier = {c.name: c for c in service.stats().caches}["frontier"]
-        assert frontier.hits >= 1
-        assert frontier.misses >= 2
+        service.submit(Q_T)  # hit: the commit remapped the entry
+        service.mutate("UPDATE t SET x = 5 WHERE key = 'a'")
+        service.submit(Q_T)  # hit: remapped, the new row joins as tail
+        assert _frontier_counts(service) == (3, 1)
+
+        # Equal content on another version chain never matches.
+        assert service._frontier_cache.lookup(
+            parse_sql(Q_T), _rebuild(service)) is None
+        assert _frontier_counts(service) == (3, 2)
+        service.invalidate()
+        service.submit(Q_T)  # miss: invalidate() dropped every entry
+        assert _frontier_counts(service) == (3, 3)
 
     def test_invalidate_clears_provenance_and_frontier(self):
         service = _service(_database())
@@ -203,9 +218,137 @@ class TestLayoutViewsFollowTheSnapshot:
         assert [answer.values for answer in after.answers] == [("p9001",)]
 
 
+class _WriteBeforeStore:
+    """Stands in for the frontier cache's ``store``.  The first time a
+    request stores a frontier, a write commits just before -- after the
+    request pinned its snapshot and computed the frontier on it."""
+
+    def __init__(self, store, write) -> None:
+        self.store = store
+        self.write = write
+        self.fired = False
+
+    def __call__(self, *args, **kwargs):
+        if not self.fired:
+            self.fired = True
+            self.write()
+        return self.store(*args, **kwargs)
+
+
+class TestStaleReaderKeepsTheAdvance:
+    def test_store_from_an_older_version_does_not_replace_the_advance(
+            self, monkeypatch):
+        service = _service(_database())
+        frontier_cache = service._frontier_cache
+        before = _snapshot(service.submit(Q_T).answers)  # stores at v0
+        racer = _WriteBeforeStore(
+            frontier_cache.store,
+            lambda: service.mutate("INSERT INTO t VALUES ('z', 7)"))
+        monkeypatch.setattr(frontier_cache, "store", racer)
+
+        # A new plan key on the same select: enumerates at v0, and the
+        # write's advance runs between its lookup and its store.
+        racing = service.submit(Q_T, limit=10)
+        assert racer.fired
+        assert _snapshot(racing.answers) == before, \
+            "the racing request read its snapshot"
+        entry = frontier_cache._cache.peek(parse_sql(Q_T))
+        assert entry.data_version == service.database.data_version == 1
+
+        after = service.submit(Q_T)  # hit: the advanced entry survived
+        assert _frontier_counts(service) == (2, 1)
+        fresh = _service(_rebuild(service)).submit(Q_T)
+        assert _snapshot(after.answers) == _snapshot(fresh.answers)
+
+
+    def test_concurrent_readers_never_move_an_entry_back(self):
+        """Readers on whatever snapshot is current race a writer that
+        advances the cache at every commit: every answer equals a cold
+        enumeration of the reader's snapshot, and the cached entry's
+        version never goes back."""
+        select = parse_sql("SELECT t.key, u.y FROM t, u "
+                           "WHERE t.key = u.key AND t.x + u.y > 5")
+        frontier_cache = FrontierCache()
+        versions: list[int] = []
+        put = frontier_cache._cache.put
+
+        def recording_put(key, entry):
+            # Both store() and advance() call put under the cache's lock,
+            # so the recorded order is the order the entries landed in.
+            versions.append(entry.data_version)
+            put(key, entry)
+
+        frontier_cache._cache.put = recording_put
+        statements = []
+        for index in range(12):
+            statements.append(f"INSERT INTO t VALUES ('a', {index + 100})")
+            statements.append(f"UPDATE t SET x = {index + 50} WHERE x = "
+                              f"{index + 100}")
+            statements.append(f"DELETE FROM t WHERE x = {index + 50}")
+        published = [_database()]
+        # Seal the buffered rows before sharing, as the service does when
+        # it pins a snapshot: the first read flushes them, unlocked.
+        for relation in published[0]:
+            relation.tuples()
+        done = threading.Event()
+        mismatches: list[int] = []
+
+        def writer() -> None:
+            chain = published[0]
+            for statement in statements:
+                parent = chain
+                chain, deltas, _ = execute_mutation(
+                    parse_statement(statement), parent)
+                frontier_cache.advance(parent, chain, deltas)
+                published[0] = chain
+
+        def reader() -> None:
+            while not done.is_set():
+                snapshot = published[0]
+                warm = enumerate_candidates(select, snapshot,
+                                            frontier_cache=frontier_cache)
+                cold = enumerate_candidates(select,
+                                            _copy_content(snapshot))
+                if [(c.values, c.witnesses, c.lineage.formula)
+                        for c in warm] != \
+                        [(c.values, c.witnesses, c.lineage.formula)
+                         for c in cold]:
+                    mismatches.append(snapshot.data_version)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            readers = [threading.Thread(target=reader) for _ in range(4)]
+            for thread in readers:
+                thread.start()
+            writing = threading.Thread(target=writer)
+            writing.start()
+            writing.join(timeout=60)
+            done.set()
+            for thread in readers:
+                thread.join(timeout=60)
+        finally:
+            done.set()
+            sys.setswitchinterval(interval)
+        assert not writing.is_alive()
+        assert not any(thread.is_alive() for thread in readers)
+        assert published[0].data_version == len(statements)
+        assert mismatches == []
+        assert versions == sorted(versions)
+
+
+def _frontier_counts(service: AnnotationService) -> tuple[int, int]:
+    frontier = {c.name: c for c in service.stats().caches}["frontier"]
+    return frontier.hits, frontier.misses
+
+
 def _rebuild(service: AnnotationService) -> Database:
     """The service's current snapshot content on a fresh, cacheless chain."""
-    database = service.database
+    return _copy_content(service.database)
+
+
+def _copy_content(database: Database) -> Database:
+    """``database``'s content on a fresh, cacheless chain."""
     return Database.from_dict(
         database.schema,
         {name: database.relation(name).tuples()

@@ -12,8 +12,9 @@ intermediate version against
 
 * the incremental **rows** snapshot chain,
 * the incremental **columnar** chain under a persistent
-  :class:`~repro.engine.vectorized.FrontierCache` and a random shard
-  count from {1, 2, 5}, and
+  :class:`~repro.engine.vectorized.FrontierCache` (advanced at every
+  commit, as the service does) and a random shard count from {1, 2, 5},
+  and
 * a from-scratch :meth:`~repro.relational.database.Database.from_dict`
   rebuild of the same content (fresh version chain, no caches),
 
@@ -42,10 +43,11 @@ from repro.datagen.mutations import random_mutation_script
 from repro.engine.candidates import enumerate_candidates
 from repro.engine.mutate import execute_mutation
 from repro.engine.sql.parser import parse_sql, parse_statement
-from repro.engine.vectorized import FrontierCache
+from repro.engine.vectorized import FrontierCache, _compute_frontier
 from repro.relational.database import Database
 from repro.relational.mutation import MutationError
 from repro.relational.schema import DatabaseSchema, RelationSchema
+from repro.relational.values import NumNull
 from repro.service.canonical import canonicalise_lineage
 
 #: Default number of random (schema, data, script, query) cases; the
@@ -213,8 +215,13 @@ class TestMutationDifferential:
                         execute_mutation(statement, columnar_chain)
                     statements_rejected += 1
                     continue
-                columnar_chain, _, columnar_outcome = execute_mutation(
-                    statement, columnar_chain)
+                parent = columnar_chain
+                columnar_chain, deltas, columnar_outcome = execute_mutation(
+                    statement, parent)
+                # What the service does at every commit: the cached
+                # frontiers are remapped onto the new version, so every
+                # DELETE/UPDATE version below is served through the remap.
+                frontier_cache.advance(parent, columnar_chain, deltas)
                 assert rows_outcome == columnar_outcome, \
                     f"case {case_index} step {step}: {script[step]!r}"
                 assert rows_chain.data_version == \
@@ -227,6 +234,53 @@ class TestMutationDifferential:
         # ride along (conflicts on duplicate inserts mostly) but must not
         # dominate the script mix.
         assert statements_applied > statements_rejected
+
+    def test_remap_across_deletes_and_updates_matches_cold(self):
+        """Hand-built remap cases against a cold enumeration per version.
+
+        Deletes the row behind the first witness, updates a middle row,
+        then deletes the last row; after each commit the advanced entry
+        must serve the same candidates, witness order, lineage digests and
+        residual formulas as a from-scratch enumeration.
+        """
+        schema = DatabaseSchema.of(
+            RelationSchema.of("t", key="base", x="num"),
+            RelationSchema.of("u", key="base", y="num"))
+        chain = Database.from_dict(schema, {
+            "t": [("a", 1.0), ("b", NumNull("n0")), ("a", 3.0),
+                  ("c", NumNull("n1")), ("b", 5.0), ("c", 6.0)],
+            "u": [("a", NumNull("n2")), ("b", 2.0), ("c", 4.0),
+                  ("a", 7.0)],
+        }, backend="columnar")
+        select = parse_sql("SELECT t.key, u.y FROM t, u "
+                           "WHERE t.key = u.key AND t.x + u.y > 4")
+        frontier_cache = FrontierCache()
+        script = ("DELETE FROM t WHERE x = 1",
+                  "UPDATE t SET x = 9 WHERE x = 3",
+                  "DELETE FROM u WHERE y = 7")
+        for step in range(len(script) + 1):
+            context = f"version {chain.data_version}"
+            warm = enumerate_candidates(select, chain, max_witnesses=4000,
+                                        frontier_cache=frontier_cache)
+            cold_database = _rebuild_from_scratch(chain, "columnar")
+            _assert_equal(context, enumerate_candidates(
+                select, cold_database, max_witnesses=4000), warm)
+            entry = frontier_cache._cache.peek(select)
+            frontier, pending = _compute_frontier(select, cold_database)
+            for binding in ("t", "u"):
+                assert entry.frontier[binding].tolist() == \
+                    frontier[binding].tolist(), context
+            witnesses = len(frontier["t"])
+            assert (entry.pending or [()] * witnesses) == \
+                (pending or [()] * witnesses), context
+            if step == len(script):
+                break
+            parent = chain
+            chain, deltas, _ = execute_mutation(parse_statement(script[step]),
+                                                parent)
+            frontier_cache.advance(parent, chain, deltas)
+        stats = frontier_cache.stats()
+        assert (stats.hits, stats.misses) == (len(script), 1)
 
     def test_case_count_meets_floor(self):
         """Default and nightly runs cover the 200-case acceptance floor."""

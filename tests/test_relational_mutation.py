@@ -58,7 +58,8 @@ class TestMvccSnapshots:
 
         delta = deltas["t"]
         assert delta == TableDelta(table="t", old_length=3, appended=1,
-                                   deleted_rows=(("b", 2.0),))
+                                   deleted_rows=(("b", 2.0),),
+                                   deleted_indices=(1,))
         assert not delta.append_only
         assert delta.touched_nulls() == frozenset()
 
@@ -66,18 +67,21 @@ class TestMvccSnapshots:
         parent = _database()
         mutation = parent.begin_mutation()
         mutation.insert("t", ("d", 4.0))
-        appended, _ = mutation.commit()
-        # Appends bump the table version but not its epoch: old row
+        appended, deltas = mutation.commit()
+        # Appends bump the table version and delete nothing: old row
         # indices stay valid, which is what frontier maintenance needs.
         assert appended.table_version("t") == 1
-        assert appended.table_epoch("t") == 0
+        assert deltas["t"].deleted_indices == ()
         assert appended.table_version("u") == 0
 
         mutation = appended.begin_mutation()
+        mutation.delete("t", 3)
         mutation.delete("t", 0)
-        deleted, _ = mutation.commit()
+        deleted, deltas = mutation.commit()
         assert deleted.table_version("t") == 2
-        assert deleted.table_epoch("t") == 2
+        # Parent numbering, ascending, parallel to the deleted rows.
+        assert deltas["t"].deleted_indices == (0, 3)
+        assert deltas["t"].deleted_rows == (("a", 1.0), ("d", 4.0))
 
     def test_converted_databases_start_fresh_chains(self):
         parent = _database()

@@ -12,6 +12,8 @@ memory round trip, and the process pool.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -337,6 +339,55 @@ class TestProcessMap:
     def test_worker_exception_propagates(self):
         with pytest.raises(ZeroDivisionError):
             process_map(_reciprocal, [1, 0, 2], jobs=2)
+
+
+    def test_worker_forked_under_the_tracker_lock_attaches_shards(self):
+        """A worker forked while another thread holds the resource
+        tracker's lock (registering a block, as a concurrent request's
+        export does) still attaches shared memory on its first task."""
+        from multiprocessing import resource_tracker
+
+        from repro.service import executor
+
+        relation = _star_database(fact_rows=8, dim_rows=4).relation("Dim")
+        payload, blocks = export_shard(relation)  # the tracker runs now
+        executor.shutdown_pools()
+        pool = executor._shared_pool(2)
+        held, release = threading.Event(), threading.Event()
+
+        def hold() -> None:
+            with resource_tracker._resource_tracker._lock:
+                held.set()
+                release.wait(30)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        try:
+            assert held.wait(10)
+            # The first submit forks the workers, inheriting the held lock.
+            futures = [pool.submit(_attached_rows, payload)
+                       for _ in range(2)]
+        finally:
+            release.set()
+            holder.join(10)
+        try:
+            assert [future.result(timeout=30) for future in futures] == \
+                [len(relation)] * 2
+        finally:
+            if not all(future.done() for future in futures):
+                for process in list(pool._processes.values()):
+                    process.kill()
+            executor.shutdown_pools()
+            release_payload(blocks)
+
+
+def _attached_rows(payload) -> int:
+    relation, handles = attach_shard(payload)
+    try:
+        return len(relation)
+    finally:
+        for handle in handles:
+            handle.close()
 
 
 def _square(value: int) -> int:
